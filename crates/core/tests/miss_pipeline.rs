@@ -1,11 +1,12 @@
-//! Equivalence tests for the pipelined miss path.
+//! Golden tests for the miss pipeline.
 //!
-//! The MSHR table, batched directory service, and lock-free read probe are
+//! The MSHR table, the sharded directory, and the lock-free read probe are
 //! host-side mechanisms: they change how fast the simulator runs, never what
-//! it computes. These tests pin that contract — simulated cycles, guest
-//! output, and every modeled memory counter must be bit-identical whether
-//! the pipeline knobs are on or off, under every synchronization model, and
-//! across a checkpoint/restore that *changes the knobs mid-run*.
+//! it computes. These tests pin that contract against recorded values —
+//! simulated cycles, guest output, and every modeled counter of a
+//! cache-hostile walk must match the constants below under every
+//! synchronization model, both for an uninterrupted run and for one that
+//! checkpoints mid-run and resumes in a fresh simulator.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -21,15 +22,34 @@ const SLOTS: u64 = 384;
 const N: u64 = 400; // steps before the checkpoint
 const M: u64 = 300; // steps after the checkpoint
 
-/// `pipelined = false` pins the configuration the pipelined miss path
-/// replaced: one MSHR entry per tile, no batched directory service, no
-/// lock-free read probe.
-fn cfg(seed: u64, pipelined: bool) -> SimConfig {
-    let mut b = SimConfig::builder().tiles(2).processes(1).seed(seed);
-    if !pipelined {
-        b = b.mshr_entries(1).dir_batch(0).read_probe(false);
-    }
-    let mut cfg = b.build().unwrap();
+/// Simulated cycles of the `N + M`-step walk (all three sync models).
+const GOLDEN_CYCLES: u64 = 123_000;
+
+/// Guest stdout of the walk: one line every 100 steps.
+const GOLDEN_STDOUT: &str = "step 0\nstep 100\nstep 200\nstep 300\nstep 400\nstep 500\nstep 600\n";
+
+/// Every non-zero modeled counter of the walk; all other modeled counters
+/// are zero. LaxBarrier additionally counts one barrier release per quantum.
+const GOLDEN_COUNTERS: &[(&str, u64)] = &[
+    ("ctrl.syscalls", 7),
+    ("mem.dram_reads", 700),
+    ("mem.latency_sum", 136300),
+    ("mem.loads", 700),
+    ("mem.max_latency", 183),
+    ("mem.misses", 700),
+    ("mem.stores", 700),
+    ("mem.upgrades", 700),
+    ("mem.writebacks", 444),
+    ("net.link.0.1.flits", 2698),
+    ("net.link.1.0.flits", 3500),
+    ("net.memory.bytes", 99168),
+    ("net.memory.hops", 1622),
+    ("net.memory.latency_sum", 15640),
+    ("net.memory.packets", 3244),
+];
+
+fn cfg() -> SimConfig {
+    let mut cfg = SimConfig::builder().tiles(2).processes(1).seed(7).build().unwrap();
     if let Some(l2) = cfg.target.l2.as_mut() {
         l2.size_bytes = 16 * 1024;
         l2.associativity = 4;
@@ -44,7 +64,7 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 /// A cache-hostile deterministic workload: strided read-modify-writes over a
-/// working set three times the L2, so the miss path (including evictions and
+/// working set 1.5 times the L2, so the miss path (including evictions and
 /// writebacks) runs constantly.
 fn run_steps(ctx: &mut Ctx, lo: u64, hi: u64) {
     for i in lo..hi {
@@ -58,47 +78,34 @@ fn run_steps(ctx: &mut Ctx, lo: u64, hi: u64) {
     }
 }
 
-/// The modeled-behaviour fingerprint of a run: everything in the metrics
+/// The non-zero modeled counters of a run: everything in the metrics
 /// snapshot except the host-side pipeline diagnostics (`mem.mshr.*`,
-/// `mem.dir.batch.*`, `mem.probe_hits`), which legitimately differ when the
-/// knobs differ.
+/// `mem.probe_hits`), which depend on how host threads interleave.
 fn modeled_counters(r: &SimReport) -> BTreeMap<String, u64> {
     r.metrics
         .counters
         .iter()
-        .filter(|(k, _)| {
-            !k.starts_with("mem.mshr.")
-                && !k.starts_with("mem.dir.batch.")
-                && *k != "mem.probe_hits"
-        })
+        .filter(|(k, v)| **v != 0 && !k.starts_with("mem.mshr.") && *k != "mem.probe_hits")
         .map(|(k, v)| (k.clone(), *v))
         .collect()
 }
 
-fn timing_invariance_for(sync: SyncModel, name: &str) {
-    let pipelined = Sim::builder(cfg(7, true)).sync_model(sync).build().unwrap().run(|ctx| {
-        run_steps(ctx, 0, N + M);
-    });
-    let unpipelined = Sim::builder(cfg(7, false)).sync_model(sync).build().unwrap().run(|ctx| {
-        run_steps(ctx, 0, N + M);
-    });
+fn assert_golden(r: &SimReport, sync: SyncModel, name: &str) {
+    let mut golden: BTreeMap<String, u64> =
+        GOLDEN_COUNTERS.iter().map(|&(k, v)| (k.to_string(), v)).collect();
+    if let SyncModel::LaxBarrier { quantum } = sync {
+        golden.insert("sync.barrier_releases".into(), GOLDEN_CYCLES / quantum);
+    }
+    assert_eq!(r.simulated_cycles.0, GOLDEN_CYCLES, "{name}: simulated clock moved");
+    assert_eq!(String::from_utf8_lossy(&r.stdout), GOLDEN_STDOUT, "{name}: guest output moved");
+    assert_eq!(modeled_counters(r), golden, "{name}: modeled counters moved");
+}
 
-    assert_eq!(
-        pipelined.simulated_cycles, unpipelined.simulated_cycles,
-        "{name}: pipeline knobs changed the simulated clock"
-    );
-    assert_eq!(pipelined.stdout, unpipelined.stdout, "{name}: guest output diverged");
-    assert_eq!(
-        modeled_counters(&pipelined),
-        modeled_counters(&unpipelined),
-        "{name}: pipeline knobs changed modeled counters"
-    );
-    // The workload must actually exercise the miss path for the comparison
-    // to mean anything.
-    assert!(
-        pipelined.metrics.counters["mem.misses"] > (N + M) * 3 / 4,
-        "{name}: workload failed to generate steady misses"
-    );
+fn timing_invariance_for(sync: SyncModel, name: &str) {
+    let r = Sim::builder(cfg()).sync_model(sync).build().unwrap().run(|ctx| {
+        run_steps(ctx, 0, N + M);
+    });
+    assert_golden(&r, sync, name);
 }
 
 #[test]
@@ -116,52 +123,32 @@ fn timing_invariance_lax_p2p() {
     timing_invariance_for(SyncModel::LaxP2P { slack: 100_000, check_interval: 500 }, "p2p");
 }
 
+/// Checkpoints after `N` steps, resumes in a fresh simulator for the last
+/// `M`, and requires the resumed run to land on the golden values.
 fn restore_equivalence_for(sync: SyncModel, name: &str) {
     let path = tmp(&format!("miss-eq-{name}.ckpt"));
-
-    // Golden: uninterrupted, default (pipelined) configuration.
-    let golden = Sim::builder(cfg(11, true)).sync_model(sync).build().unwrap().run(|ctx| {
-        run_steps(ctx, 0, N + M);
-    });
-
-    // Interrupted: checkpoint mid-run under the pipelined configuration...
     let p = path.clone();
-    Sim::builder(cfg(11, true)).sync_model(sync).build().unwrap().run(move |ctx| {
+    Sim::builder(cfg()).sync_model(sync).build().unwrap().run(move |ctx| {
         run_steps(ctx, 0, N);
         ctx.checkpoint(&p).expect("checkpoint at a quiesce point");
     });
-
-    // ...and resume with the pipeline OFF and a different directory shard
-    // count. The v4 checkpoint serializes the directory as one
-    // shard-count-independent stream, and the knobs are host-side only, so
-    // the resumed run must land exactly where the golden run does.
-    let mut resume_cfg = cfg(11, false);
-    resume_cfg.memory.dir_shards = 8;
-    let resumed =
-        Sim::builder(resume_cfg).sync_model(sync).resume(&path).build().unwrap().run(|ctx| {
-            run_steps(ctx, N, N + M);
-        });
-
-    assert_eq!(golden.simulated_cycles, resumed.simulated_cycles, "{name}: clock diverged");
-    assert_eq!(golden.stdout, resumed.stdout, "{name}: stdout diverged");
-    assert_eq!(
-        modeled_counters(&golden),
-        modeled_counters(&resumed),
-        "{name}: modeled counters diverged across a knob-changing restore"
-    );
+    let resumed = Sim::builder(cfg()).sync_model(sync).resume(&path).build().unwrap().run(|ctx| {
+        run_steps(ctx, N, N + M);
+    });
+    assert_golden(&resumed, sync, name);
 }
 
 #[test]
-fn restore_equivalence_across_knobs_lax() {
+fn restore_equivalence_lax() {
     restore_equivalence_for(SyncModel::Lax, "lax");
 }
 
 #[test]
-fn restore_equivalence_across_knobs_lax_barrier() {
+fn restore_equivalence_lax_barrier() {
     restore_equivalence_for(SyncModel::LaxBarrier { quantum: 1_000 }, "barrier");
 }
 
 #[test]
-fn restore_equivalence_across_knobs_lax_p2p() {
+fn restore_equivalence_lax_p2p() {
     restore_equivalence_for(SyncModel::LaxP2P { slack: 100_000, check_interval: 500 }, "p2p");
 }

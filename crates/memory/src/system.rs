@@ -21,13 +21,11 @@
 //!   at most one MSHR entry at a time: evictions complete (as their own
 //!   MSHR-scoped transactions) before the fill's entry is acquired, and
 //!   MSHR waiters sleep holding nothing, so no cycle can form.
-//! * **Directory shard maps are brief leaf locks.** A transaction resolves
-//!   its `DirEntry` to a stable `Box` pointer under a short map-lock
-//!   critical section and then works on the entry lock-free — the MSHR
-//!   already guarantees per-line exclusivity. Contended resolutions are
-//!   *batched*: a thread that finds the map lock busy queues its request,
-//!   and whichever thread holds the lock retires the queue under the one
-//!   acquisition (flat combining).
+//! * **Directory shard maps are brief leaf locks.** The directory is split
+//!   into [`DIR_SHARDS`] maps. A transaction resolves its `DirEntry` to a
+//!   stable `Box` pointer under a short map-lock critical section and then
+//!   works on the entry lock-free — the MSHR already guarantees per-line
+//!   exclusivity.
 //! * **Tile cache locks are leaves**, taken one at a time, never while a
 //!   map lock is held. Read hits can skip the tile lock entirely via a
 //!   seqlock-validated probe ([`Cache::probe_read`]): writers bump the
@@ -44,7 +42,6 @@
 //! model's contract.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use graphite_base::{
@@ -236,15 +233,6 @@ pub struct MemStats {
     /// Misses that waited for a *different* tile's in-flight transaction on
     /// the same line before proceeding.
     pub mshr_conflict_waits: ShardedMetric,
-    /// Miss registrations that stalled because the tile was at its
-    /// `mshr_entries` outstanding cap.
-    pub mshr_stall_full: ShardedMetric,
-    /// Directory shard-map lock acquisitions on the batched path.
-    pub dir_batch_acquisitions: ShardedMetric,
-    /// Queued directory requests retired under someone else's shard-map
-    /// acquisition (flat combining). `requests_combined / acquisitions`
-    /// measures how much the batching collapses lock traffic.
-    pub dir_batch_combined: ShardedMetric,
     /// Read hits served by the lock-free seqlock probe (no tile lock).
     pub probe_hits: ShardedMetric,
 }
@@ -280,9 +268,6 @@ impl MemStats {
             silent_upgrades: metrics.sharded_counter("mem.silent_upgrades"),
             mshr_coalesced: metrics.sharded_counter("mem.mshr.coalesced"),
             mshr_conflict_waits: metrics.sharded_counter("mem.mshr.conflict_waits"),
-            mshr_stall_full: metrics.sharded_counter("mem.mshr.stall_full"),
-            dir_batch_acquisitions: metrics.sharded_counter("mem.dir.batch.acquisitions"),
-            dir_batch_combined: metrics.sharded_counter("mem.dir.batch.requests_combined"),
             probe_hits: metrics.sharded_counter("mem.probe_hits"),
         }
     }
@@ -376,40 +361,16 @@ enum FillSrc {
     Staged,
 }
 
-/// A queued directory-entry resolution: whichever thread holds the shard's
-/// map lock stores the resolved entry pointer into `slot`. The slot lives on
-/// the waiting thread's stack; the enqueuer never returns until the slot is
-/// filled, and every store happens while the map lock is held, so the slot
-/// cannot dangle.
-struct PendingDirReq {
-    line: u64,
-    slot: *const AtomicPtr<DirEntry>,
-}
+/// Number of directory shards. A power of two, so shard selection is a
+/// multiply and a shift; 256 keeps map-lock contention negligible at the
+/// paper's tile counts.
+const DIR_SHARDS: usize = 256;
+const DIR_SHARD_BITS: u32 = DIR_SHARDS.trailing_zeros();
 
-// Safety: the raw slot pointer is only dereferenced under the shard's map
-// lock while the owning thread is provably parked in `dir_entry_batched`.
-unsafe impl Send for PendingDirReq {}
-
-/// One directory shard: the entry map plus the flat-combining queue for
-/// contended resolutions. Entries are boxed so their addresses survive map
-/// rehashes; an entry, once inserted, is never removed while the simulation
-/// runs.
-struct DirShard {
-    map: Mutex<HashMap<u64, Box<DirEntry>, FxBuildHasher>>,
-    pending: Mutex<Vec<PendingDirReq>>,
-    /// Cheap hint so the uncontended path can skip locking `pending`.
-    pending_count: AtomicUsize,
-}
-
-impl DirShard {
-    fn new() -> Self {
-        DirShard {
-            map: Mutex::new(HashMap::default()),
-            pending: Mutex::new(Vec::new()),
-            pending_count: AtomicUsize::new(0),
-        }
-    }
-}
+/// One directory shard: line → entry. Entries are boxed so their addresses
+/// survive map rehashes; an entry, once inserted, is never removed while the
+/// simulation runs.
+type DirShard = Mutex<HashMap<u64, Box<DirEntry>, FxBuildHasher>>;
 
 /// Raw pointer to a tile's front data cache for the lock-free read probe,
 /// with the latency/attribution a locked hit would have produced.
@@ -490,19 +451,10 @@ pub struct MemorySystem {
     line_mask: u64,
     num_tiles: u32,
     tiles: Vec<Mutex<TileMem>>,
+    /// [`DIR_SHARDS`] directory maps.
     shards: Vec<DirShard>,
-    /// `log2(shards.len())`; the config validates the count is a power of
-    /// two, so shard selection is a multiply and a shift.
-    shard_bits: u32,
     /// In-flight miss registry (per-line exclusivity + coalescing).
     mshr: MshrTable,
-    /// `[memory] mshr_entries`; 0 records same-tile waits as conflicts
-    /// rather than coalesced secondaries.
-    mshr_entries: u32,
-    /// Max queued directory resolutions retired per map-lock acquisition.
-    dir_batch: u32,
-    /// `[memory] read_probe`: gate for the lock-free read-hit fast path.
-    read_probe: bool,
     /// Per-tile seqlock counters; bumped (under the tile lock) around every
     /// structural or data mutation of that tile's caches.
     tile_seq: Vec<SeqCount>,
@@ -606,12 +558,8 @@ impl MemorySystem {
             line_shift: line_size.trailing_zeros(),
             line_mask: line_size as u64 - 1,
             num_tiles: cfg.target.num_tiles,
-            shards: (0..cfg.memory.dir_shards).map(|_| DirShard::new()).collect(),
-            shard_bits: cfg.memory.dir_shards.trailing_zeros(),
-            mshr: MshrTable::new(cfg.target.num_tiles as usize, cfg.memory.mshr_entries),
-            mshr_entries: cfg.memory.mshr_entries,
-            dir_batch: cfg.memory.dir_batch,
-            read_probe: cfg.memory.read_probe,
+            shards: (0..DIR_SHARDS).map(|_| DirShard::default()).collect(),
+            mshr: MshrTable::default(),
             tile_seq: (0..cfg.target.num_tiles).map(|_| SeqCount::new()).collect(),
             probes,
             miss_lookup_lat,
@@ -671,20 +619,11 @@ impl MemorySystem {
         self.controller_of(home).access(est_now, self.line_size)
     }
 
-    fn shard_index(&self, line: u64) -> usize {
+    fn shard_of(&self, line: u64) -> &DirShard {
         // Golden-ratio multiply, top bits select: sequential / aligned line
         // indices (the common access pattern) decorrelate across shards
-        // instead of convoying onto one. shard_bits == 0 (one shard) shifts
-        // by 64, which is UB — special-case it.
-        if self.shard_bits == 0 {
-            0
-        } else {
-            (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - self.shard_bits)) as usize
-        }
-    }
-
-    fn shard_of(&self, line: u64) -> &DirShard {
-        &self.shards[self.shard_index(line)]
+        // instead of convoying onto one.
+        &self.shards[(line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - DIR_SHARD_BITS)) as usize]
     }
 
     /// Get-or-insert under an already-held map lock, returning the entry's
@@ -700,107 +639,30 @@ impl MemorySystem {
         &mut **boxed as *mut DirEntry
     }
 
-    /// Retires up to `dir_batch` queued resolutions under the caller's map
-    /// lock (flat combining). Every slot store happens while the map lock is
-    /// held, so queued stack slots cannot dangle.
-    fn drain_pending(
-        &self,
-        shard: &DirShard,
-        map: &mut HashMap<u64, Box<DirEntry>, FxBuildHasher>,
-        lane: usize,
-    ) {
-        if shard.pending_count.load(Ordering::Acquire) == 0 {
-            return;
-        }
-        let _hp = self.hostprof.span(HostStage::BatchDrain);
-        let reqs: Vec<PendingDirReq> = {
-            let mut pending = shard.pending.lock();
-            let n = pending.len().min(self.dir_batch as usize);
-            shard.pending_count.fetch_sub(n, Ordering::Release);
-            pending.drain(..n).collect()
-        };
-        if reqs.is_empty() {
-            return;
-        }
-        self.stats.dir_batch_combined.add_owned(lane, reqs.len() as u64);
-        for r in reqs {
-            let p = Self::entry_ptr(map, r.line, self.num_tiles, self.line_size);
-            unsafe { (*r.slot).store(p, Ordering::Release) };
-        }
-    }
-
-    /// Resolves the directory entry for `line` to a stable pointer, batching
-    /// under contention. The caller must already hold per-line exclusivity
-    /// (an MSHR entry, or system quiescence) before mutating the entry.
-    fn dir_entry_batched(&self, line: u64, lane: usize) -> *mut DirEntry {
+    /// Resolves the directory entry for `line` to a stable pointer. The
+    /// caller must already hold per-line exclusivity (an MSHR entry, or
+    /// system quiescence) before mutating the entry.
+    fn dir_entry(&self, line: u64) -> *mut DirEntry {
         let _hp = self.hostprof.span(HostStage::DirLookup);
-        let shard = self.shard_of(line);
-        if self.dir_batch == 0 {
-            // Combining disabled: plain blocking acquisition.
-            let mut map = {
-                let _l = self.hostprof.span(HostStage::DirLockWait);
-                shard.map.lock()
-            };
-            return Self::entry_ptr(&mut map, line, self.num_tiles, self.line_size);
-        }
-        if let Some(mut map) = shard.map.try_lock() {
-            self.stats.dir_batch_acquisitions.incr_owned(lane);
-            let p = Self::entry_ptr(&mut map, line, self.num_tiles, self.line_size);
-            self.drain_pending(shard, &mut map, lane);
-            return p;
-        }
-        // Contended: queue the request; whoever holds the lock serves it.
-        // We may not return while the slot is unfilled — the holder owns a
-        // raw pointer to it. The wait (spin + possible self-service) counts
-        // as directory lock-wait time.
-        let _l = self.hostprof.span(HostStage::DirLockWait);
-        let slot = AtomicPtr::new(std::ptr::null_mut());
-        {
-            let mut pending = shard.pending.lock();
-            pending.push(PendingDirReq { line, slot: &slot });
-            shard.pending_count.fetch_add(1, Ordering::Release);
-        }
-        loop {
-            let p = slot.load(Ordering::Acquire);
-            if !p.is_null() {
-                return p;
-            }
-            if let Some(mut map) = shard.map.try_lock() {
-                // Lock freed before anyone served us: serve the queue
-                // ourselves (our own request is still in it).
-                self.stats.dir_batch_acquisitions.incr_owned(lane);
-                self.drain_pending(shard, &mut map, lane);
-                let p = slot.load(Ordering::Acquire);
-                if !p.is_null() {
-                    return p;
-                }
-                // Bounded batch left our request queued; resolve directly.
-                // (The queue may still hold our slot — serve it too so no
-                // raw pointer outlives this frame.)
-                loop {
-                    self.drain_pending(shard, &mut map, lane);
-                    let p = slot.load(Ordering::Acquire);
-                    if !p.is_null() {
-                        return p;
-                    }
-                }
-            }
-            std::thread::yield_now();
-        }
+        let mut map = {
+            let _l = self.hostprof.span(HostStage::DirLockWait);
+            self.shard_of(line).lock()
+        };
+        Self::entry_ptr(&mut map, line, self.num_tiles, self.line_size)
     }
 
     /// Plain blocking directory lookup that never inserts, for the
     /// functional peek path — peeking absent memory must not grow the
     /// directory (it would change checkpoint bytes).
     fn dir_entry_get(&self, line: u64) -> Option<*mut DirEntry> {
-        let mut map = self.shard_of(line).map.lock();
+        let mut map = self.shard_of(line).lock();
         map.get_mut(&line).map(|b| &mut **b as *mut DirEntry)
     }
 
-    /// Plain blocking get-or-insert without batching or stats attribution,
-    /// for the functional poke path.
+    /// [`Self::dir_entry`] without host-cost attribution, for the functional
+    /// poke path.
     fn dir_entry_plain(&self, line: u64) -> *mut DirEntry {
-        let mut map = self.shard_of(line).map.lock();
+        let mut map = self.shard_of(line).lock();
         Self::entry_ptr(&mut map, line, self.num_tiles, self.line_size)
     }
 
@@ -979,36 +841,34 @@ impl MemorySystem {
         // Lock-free read-hit probe: a seqlock-validated scan of the front
         // data cache. Counters, latency, and LRU effect are identical to the
         // locked read-hit path; `false` only ever means "take the slow path".
-        if self.read_probe && !is_write {
-            if let LineOp::Read(buf) = &mut op {
-                let pt = &self.probes[lane];
-                if unsafe { Cache::probe_read(pt.cache, &self.tile_seq[lane], line, off, buf) } {
-                    self.stats.probe_hits.incr_owned(lane);
-                    if pt.is_l1 {
-                        self.stats.l1d_hits.incr_owned(lane);
-                    } else {
-                        self.stats.l2_hits.incr_owned(lane);
-                    }
-                    if tracing {
-                        self.tracer.emit_pair(tile, now, || {
-                            (
-                                TraceEventKind::MemOpStart { op: op_name, addr: addr.0 },
-                                TraceEventKind::MemOpDone {
-                                    op: op_name,
-                                    addr: addr.0,
-                                    latency: pt.lat.0,
-                                    hit: true,
-                                },
-                            )
-                        });
-                    }
-                    let lat = pt.lat;
-                    self.stats.latency_sum.add_owned(lane, lat.0);
-                    self.per_tile[lane].latency_sum.add_owned(lat.0);
-                    self.stats.max_latency.observe_max(lane, lat.0);
-                    self.latency_hist.record_owned(lane, lat.0);
-                    return MemCost::hit(lat);
+        if let LineOp::Read(buf) = &mut op {
+            let pt = &self.probes[lane];
+            if unsafe { Cache::probe_read(pt.cache, &self.tile_seq[lane], line, off, buf) } {
+                self.stats.probe_hits.incr_owned(lane);
+                if pt.is_l1 {
+                    self.stats.l1d_hits.incr_owned(lane);
+                } else {
+                    self.stats.l2_hits.incr_owned(lane);
                 }
+                if tracing {
+                    self.tracer.emit_pair(tile, now, || {
+                        (
+                            TraceEventKind::MemOpStart { op: op_name, addr: addr.0 },
+                            TraceEventKind::MemOpDone {
+                                op: op_name,
+                                addr: addr.0,
+                                latency: pt.lat.0,
+                                hit: true,
+                            },
+                        )
+                    });
+                }
+                let lat = pt.lat;
+                self.stats.latency_sum.add_owned(lane, lat.0);
+                self.per_tile[lane].latency_sum.add_owned(lat.0);
+                self.stats.max_latency.observe_max(lane, lat.0);
+                self.latency_hist.record_owned(lane, lat.0);
+                return MemCost::hit(lat);
             }
         }
         // Fast path: local hit with sufficient permission. Hits and misses
@@ -1265,7 +1125,7 @@ impl MemorySystem {
             };
             let guard = match acquired {
                 Ok(g) => g,
-                Err(MshrWait::SameTile) if self.mshr_entries > 0 => {
+                Err(MshrWait::SameTile) => {
                     self.stats.mshr_coalesced.incr_owned(lane);
                     continue;
                 }
@@ -1274,12 +1134,9 @@ impl MemorySystem {
                     continue;
                 }
             };
-            if guard.stalled() {
-                self.stats.mshr_stall_full.incr_owned(lane);
-            }
             // Safety: we hold the line's MSHR entry, so no other transaction
             // can touch this directory entry until the guard drops.
-            let entry = unsafe { &mut *self.dir_entry_batched(line, lane) };
+            let entry = unsafe { &mut *self.dir_entry(line) };
             // A same-tile sibling may have filled the line between our probe
             // and the registration; while we hold the MSHR the directory is
             // stable ground truth, so release and retry — the re-probe hits.
@@ -1720,7 +1577,7 @@ impl MemorySystem {
         let home = self.home_of(vline);
         // Safety: the MSHR service entry grants exclusive use of the
         // directory entry until `guard` drops.
-        let entry = unsafe { &mut *self.dir_entry_batched(vline, lane) };
+        let entry = unsafe { &mut *self.dir_entry(vline) };
         let leftover = match state {
             LineState::Modified => {
                 debug_assert_eq!(entry.state, DirState::Owned(tile));
@@ -1958,7 +1815,7 @@ impl MemorySystem {
     /// Returns a description of the first violated invariant.
     pub fn verify_coherence_invariants(&self) -> Result<(), String> {
         for shard in &self.shards {
-            let shard = shard.map.lock();
+            let shard = shard.lock();
             for (&line, entry) in shard.iter() {
                 if !entry.invariants_hold() {
                     return Err(format!("line {line}: directory invariants violated"));
@@ -2073,11 +1930,10 @@ impl Checkpointable for MemorySystem {
             }
         }
         // The directory serializes as ONE globally line-sorted stream so the
-        // bytes are independent of the configured shard count (and of the
-        // shard hash): a checkpoint taken with 256 shards restores into a
-        // system configured with 16, and identical states always serialize
-        // to identical bytes regardless of HashMap iteration order.
-        let guards: Vec<_> = self.shards.iter().map(|s| s.map.lock()).collect();
+        // bytes are independent of the shard count and hash: identical states
+        // always serialize to identical bytes regardless of HashMap
+        // iteration order.
+        let guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
         let mut lines: Vec<(u64, &DirEntry)> =
             guards.iter().flat_map(|g| g.iter().map(|(&l, e)| (l, &**e))).collect();
         lines.sort_unstable_by_key(|(l, _)| *l);
@@ -2125,14 +1981,14 @@ impl Checkpointable for MemorySystem {
                 }
             }
         }
-        // The directory stream is shard-count-independent (see `save`): one
-        // strictly line-ordered sequence, redistributed across however many
-        // shards this instance is configured with. The system is quiescent,
+        // The directory stream is shard-independent (see `save`): one
+        // strictly line-ordered sequence, redistributed across the shards.
+        // The system is quiescent,
         // so dropping the old boxed entries here is safe (no probe can hold
         // a stale pointer into them).
         let n = dec.u32()?;
         for shard in &self.shards {
-            shard.map.lock().clear();
+            shard.lock().clear();
         }
         let mut prev: Option<u64> = None;
         for _ in 0..n {
@@ -2169,7 +2025,7 @@ impl Checkpointable for MemorySystem {
             if !entry.invariants_hold() {
                 return Err(bad());
             }
-            self.shard_of(line).map.lock().insert(line, Box::new(entry));
+            self.shard_of(line).lock().insert(line, Box::new(entry));
         }
         if dec.u32()? as usize != self.dram.len() {
             return Err(bad());
@@ -2232,9 +2088,9 @@ mod tests {
 
         let t0 = Instant::now();
         for i in 0..N {
-            let _ = m.dir_entry_batched(i % 6144, 0);
+            let _ = m.dir_entry(i % 6144);
         }
-        println!("dir_entry_batched:    {:.0} ns", ns(t0));
+        println!("dir_entry:            {:.0} ns", ns(t0));
 
         let t0 = Instant::now();
         for _ in 0..N {
@@ -2839,6 +2695,41 @@ mod tests {
         // The full payload still restores into another fresh instance.
         let fresh2 = system(4);
         fresh2.restore(&mut Dec::new(&buf)).unwrap();
+    }
+
+    /// A read hit served by the lock-free probe is indistinguishable from the
+    /// same hit served under the tile lock: same bytes, latency, hit
+    /// counters, and LRU order (compared through the checkpoint bytes, which
+    /// carry every cache's LRU stamps). Covers both the L1 front cache and
+    /// an L2-only hierarchy.
+    #[test]
+    fn probe_hit_matches_locked_hit() {
+        let snapshot = |m: &MemorySystem| {
+            let mut enc = Enc::new();
+            m.save(&mut enc);
+            enc.finish()
+        };
+        for cfg in [presets::paper_default(2), presets::fig8_miss_characterization(2, 64)] {
+            let (probed, locked) = (system_with(&cfg, false), system_with(&cfg, false));
+            for m in [&probed, &locked] {
+                m.random_access_storm(TileId(0), 5, 32 * 64, 300);
+                m.write(TileId(0), Cycles(0), Addr(0x40), &7u64.to_le_bytes());
+            }
+            let (mut a, mut b) = ([0u8; 8], [0u8; 8]);
+            let probe_hits = probed.stats().probe_hits.get();
+            let probe_lat = probed.read(TileId(0), Cycles(0), Addr(0x40), &mut a);
+            assert_eq!(probed.stats().probe_hits.get(), probe_hits + 1, "probe served the hit");
+            let locked_lat = locked
+                .try_local_hit(TileId(0), 1, 0, &mut LineOp::Read(&mut b))
+                .expect("locked local hit");
+            assert_eq!(a, 7u64.to_le_bytes());
+            assert_eq!(a, b);
+            assert_eq!(probe_lat, locked_lat);
+            let (sp, sl) = (probed.stats(), locked.stats());
+            assert_eq!(sp.l1d_hits.get(), sl.l1d_hits.get(), "L1D hit counts diverged");
+            assert_eq!(sp.l2_hits.get(), sl.l2_hits.get(), "L2 hit counts diverged");
+            assert_eq!(snapshot(&probed), snapshot(&locked), "cache LRU state diverged");
+        }
     }
 
     #[test]
